@@ -31,7 +31,7 @@
 # the speedups (and the quotient build cost) in BENCH_compress.json,
 # failing if the ratio drops below 10x or cold reach gains below 5x.
 
-.PHONY: tier1 tier2 fuzzsmoke benchsmoke benchcmp cachebench servesmoke snapbench compressbench all
+.PHONY: tier1 tier2 fuzzsmoke benchsmoke benchcmp cachebench servesmoke snapbench compressbench bench all
 
 all: tier1 tier2 benchsmoke
 
@@ -89,3 +89,12 @@ snapbench: servesmoke
 compressbench:
 	go run ./tools/compressbench \
 		| go run ./tools/benchcmp -out BENCH_compress.json -generated-by "make compressbench"
+
+# bench runs the repository benchmark (rlbench/, declared in
+# BENCHMARK.json) once per workload for 25 s each, untraced. Each run
+# prints its JSON result as the last line of stdout; SEED picks the
+# edited routers and the keys readers draw (the corpus seed is pinned).
+SEED ?= 1
+bench:
+	bash rlbench/run.sh --workload net5-reload --seed $(SEED) --seconds 25 --trace 0
+	bash rlbench/run.sh --workload provider-reload --seed $(SEED) --seconds 25 --trace 0

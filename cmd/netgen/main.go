@@ -30,13 +30,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"routinglens/internal/anonymize"
 	"routinglens/internal/ciscoparse"
 	"routinglens/internal/junosemit"
 	"routinglens/internal/netgen"
+	"routinglens/internal/pool"
 	"routinglens/internal/telemetry"
 )
 
@@ -147,32 +146,14 @@ func main() {
 		return netResult{wrote: wrote}
 	}
 
-	workers := tele.Parallelism()
-	if workers > len(selected) {
-		workers = len(selected)
+	pool.Run(ctx, tele.Parallelism(), len(selected), func(i int) {
+		results[i] = writeOne(selected[i])
+	})
+	// Cancellation (Ctrl-C, -timeout) stops at the next network
+	// boundary; finished networks stay on disk.
+	if err := ctx.Err(); err != nil {
+		fatal(err)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(selected) {
-					return
-				}
-				// Cancellation (Ctrl-C, -timeout) stops at the next
-				// network boundary; finished networks stay on disk.
-				if err := ctx.Err(); err != nil {
-					results[i] = netResult{err: err}
-					return
-				}
-				results[i] = writeOne(selected[i])
-			}
-		}()
-	}
-	wg.Wait()
 
 	wrote, skippedNets := 0, 0
 	for i, r := range results {

@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	rlensd -dir path/to/configs [-addr :7311] [flags]         # one network
-//	rlensd -corpus path/to/corpus [-default-net NAME] [flags] # a fleet
+//	rlensd -dir path/to/configs [-addr :7311] [flags]  # one network
+//	rlensd -corpus path/to/corpus [flags]              # a fleet
 //
 // A corpus root is one subdirectory per network, one configuration file
 // per router — the layout `netgen -out` writes. Every subdirectory
-// becomes a served network named after it.
+// becomes a served network named after it; a -dir network is named
+// after the directory's base name.
 //
 // Endpoints (NET is a network name; GET /v1/nets lists them):
 //
@@ -32,18 +33,12 @@
 //	GET  /v1/nets/NET/quarantine    the retained admission-rejection record, if any
 //	GET  /v1/nets/NET/events        design-drift event page (?since=CURSOR&limit=N)
 //	GET  /v1/nets/NET/watch         live design-drift stream (SSE; resumes via Last-Event-ID)
-//	GET  /v1/version                build identity and the serving design generation
+//	GET  /v1/version                build identity and the served network count
 //	GET  /healthz                   process liveness (always 200 while up)
 //	GET  /readyz                    fleet readiness: 200 while any network serves
 //	                                fresh; ?net=NAME probes one network
 //	GET  /metrics                   Prometheus text metrics (per-net labels)
 //	GET  /debug/traces              recent request traces; /debug/traces/{id} for one
-//
-// The pre-fleet single-network paths (/v1/summary, /v1/pathway,
-// /v1/reach, /v1/whatif, /v1/reload, /v1/events, /v1/watch) still
-// answer, resolving to the default network (-default-net; else the sole
-// or first network) and carrying a "Deprecation: true" header plus a
-// Link to their canonical /v1/nets/... twin.
 //
 // Observability: every design-changing reload is diffed against the
 // previous generation and published as structured events (one ring per
@@ -136,7 +131,6 @@ import (
 func main() {
 	dir := flag.String("dir", "", "directory of one network's router configuration files")
 	corpus := flag.String("corpus", "", "corpus root: one subdirectory per network (overrides -dir)")
-	defaultNet := flag.String("default-net", "", "network the deprecated single-network endpoints resolve to (default: sole or first network)")
 	addr := flag.String("addr", ":7311", "listen address")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-request deadline; slower queries return 504")
 	maxInflight := flag.Int("max-inflight", 64, "per-network concurrent query bound; excess load is shed with 429")
@@ -199,9 +193,8 @@ func main() {
 		pc = parsecache.New(*parseCache, 0)
 	}
 	s, err := serve.New(serve.Config{
-		Dir:        *dir,
-		CorpusDir:  *corpus,
-		DefaultNet: *defaultNet,
+		Dir:       *dir,
+		CorpusDir: *corpus,
 		AnalyzerOptions: []core.AnalyzerOption{
 			core.WithParallelism(tele.Parallelism()),
 			core.WithFailFast(tele.FailFast),

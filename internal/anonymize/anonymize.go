@@ -33,10 +33,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"routinglens/internal/confio"
 	"routinglens/internal/netaddr"
+	"routinglens/internal/pool"
 )
 
 // Anonymizer rewrites configuration text under a secret key. It is safe
@@ -377,9 +377,9 @@ func (a *Anonymizer) MapNetwork(configs map[string]string) (map[string]string, e
 
 // AnonymizeDir anonymizes every regular file in the directory in into
 // out/config1, out/config2, ... (sorted original-name order). Reads and
-// rewrites fan out over workers goroutines (<=1 means sequential); every
-// mapping is a pure function of the key, so the output bytes are
-// identical at any worker count.
+// rewrites fan out over workers goroutines (<= 0 means GOMAXPROCS, 1
+// runs sequentially); every mapping is a pure function of the key, so
+// the output bytes are identical at any worker count.
 //
 // With failFast false (lenient), a file that cannot be read is skipped
 // and reported in skipped; with failFast true the first failure aborts.
@@ -410,10 +410,7 @@ func (a *Anonymizer) AnonymizeDirContext(ctx context.Context, in, out string, wo
 
 	texts := make([]string, len(files))
 	readErrs := make([]error, len(files))
-	forEach(workers, len(files), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
+	pool.Run(ctx, workers, len(files), func(i int) {
 		data, err := os.ReadFile(filepath.Join(in, files[i]))
 		texts[i], readErrs[i] = string(data), err
 	})
@@ -434,10 +431,7 @@ func (a *Anonymizer) AnonymizeDirContext(ctx context.Context, in, out string, wo
 
 	outputs := make([]string, len(keep))
 	anonErrs := make([]error, len(keep))
-	forEach(workers, len(keep), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
+	pool.Run(ctx, workers, len(keep), func(i int) {
 		var sb strings.Builder
 		anonErrs[i] = a.AnonymizeConfig(strings.NewReader(texts[keep[i]]), &sb)
 		outputs[i] = sb.String()
@@ -455,10 +449,7 @@ func (a *Anonymizer) AnonymizeDirContext(ctx context.Context, in, out string, wo
 		return 0, nil, err
 	}
 	writeErrs := make([]error, len(outputs))
-	forEach(workers, len(outputs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
+	pool.Run(ctx, workers, len(outputs), func(i int) {
 		name := fmt.Sprintf("config%d", i+1)
 		writeErrs[i] = os.WriteFile(filepath.Join(out, name), []byte(outputs[i]), 0o644)
 	})
@@ -471,34 +462,4 @@ func (a *Anonymizer) AnonymizeDirContext(ctx context.Context, in, out string, wo
 		}
 	}
 	return len(outputs), skipped, nil
-}
-
-// forEach runs n index-addressed work items over a pool of workers; each
-// item writes only its own index, so results stay in input order.
-func forEach(workers, n int, work func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			work(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

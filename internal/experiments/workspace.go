@@ -9,16 +9,14 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"routinglens/internal/classify"
 	"routinglens/internal/devmodel"
 	"routinglens/internal/filters"
 	"routinglens/internal/instance"
 	"routinglens/internal/netgen"
+	"routinglens/internal/pool"
 	"routinglens/internal/procgraph"
 	"routinglens/internal/telemetry"
 	"routinglens/internal/topology"
@@ -123,7 +121,7 @@ func BuildWorkspaceOpts(ctx context.Context, seed int64, parallelism int, failFa
 			"instances", len(model.Instances), "duration", d)
 		return na, nil
 	}
-	RunPool(ctx, parallelism, len(c.Networks), func(i int) {
+	pool.Run(ctx, parallelism, len(c.Networks), func(i int) {
 		analyses[i], errs[i] = analyzeOne(c.Networks[i])
 	})
 	if err := ctx.Err(); err != nil {
@@ -152,47 +150,6 @@ func BuildWorkspaceOpts(ctx context.Context, seed int64, parallelism int, failFa
 		ws.byName[na.Gen.Name] = na
 	}
 	return ws, nil
-}
-
-// RunPool distributes n index-addressed work items over a bounded worker
-// pool (parallelism <= 0 means GOMAXPROCS; a pool of 1 runs inline).
-// Work items must only touch their own index. A cancelled ctx drains the
-// queue early; already running items finish. It is exported because the
-// serve layer reloads its fleet of networks through the same pool shape
-// the corpus analysis here uses.
-func RunPool(ctx context.Context, parallelism, n int, work func(i int)) {
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			work(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				work(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // firstError returns ctx's error if it was cancelled, else the
@@ -297,7 +254,7 @@ func All(ws *Workspace) []Result {
 func AllParallel(ctx context.Context, ws *Workspace, parallelism int) []Result {
 	results := make([]Result, len(drivers))
 	done := make([]bool, len(drivers))
-	RunPool(ctx, parallelism, len(drivers), func(i int) {
+	pool.Run(ctx, parallelism, len(drivers), func(i int) {
 		results[i] = runTimed(ctx, drivers[i], ws)
 		done[i] = true
 	})

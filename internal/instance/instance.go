@@ -13,6 +13,7 @@ package instance
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"routinglens/internal/devmodel"
 	"routinglens/internal/procgraph"
@@ -124,7 +125,9 @@ type Model struct {
 
 	byNode map[*procgraph.Node]*Instance
 	// Lazily built per-instance edge indexes; the nil instance (external
-	// world) is indexed separately.
+	// world) is indexed separately. idxOnce makes the first build safe
+	// under concurrent queries (the daemon serves pathways in parallel).
+	idxOnce       sync.Once
 	inIdx, outIdx map[*Instance][]*Edge
 	extIn, extOut []*Edge
 }
@@ -315,12 +318,11 @@ func edgeKey(e *Edge) string {
 	return fmt.Sprintf("%04d-%04d-%d", f, t, e.Kind)
 }
 
-// buildIndex lazily constructs the per-instance edge indexes; the model is
-// immutable after Compute.
-func (m *Model) buildIndex() {
-	if m.inIdx != nil {
-		return
-	}
+// buildIndex lazily constructs the per-instance edge indexes, once; the
+// model is immutable after Compute.
+func (m *Model) buildIndex() { m.idxOnce.Do(m.indexEdges) }
+
+func (m *Model) indexEdges() {
 	m.inIdx = make(map[*Instance][]*Edge, len(m.Instances))
 	m.outIdx = make(map[*Instance][]*Edge, len(m.Instances))
 	for _, e := range m.Edges {

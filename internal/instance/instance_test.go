@@ -2,6 +2,7 @@ package instance
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"routinglens/internal/ciscoparse"
@@ -118,6 +119,35 @@ func TestInstanceEdges(t *testing.T) {
 	// External world edge into BGP 12762 (from R7).
 	if edges["ext->BGP AS 12762/external"] == nil {
 		t.Errorf("missing external edge; have %v", keys(edges))
+	}
+}
+
+// TestEdgeIndexConcurrentFirstUse: the lazily built edge indexes of a
+// fresh model and graph are safe to build from many goroutines at once —
+// the daemon's first concurrent pathway queries of a generation do
+// exactly that. Meaningful under -race.
+func TestEdgeIndexConcurrentFirstUse(t *testing.T) {
+	m := exampleModel(t)
+	var wg sync.WaitGroup
+	counts := make([]int, 8)
+	for i := range counts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, in := range m.Instances {
+				counts[i] += len(m.EdgesInto(in)) + len(m.EdgesFrom(in))
+			}
+			counts[i] += len(m.EdgesInto(nil))
+			for _, n := range m.Graph.Nodes {
+				counts[i] += len(m.Graph.OutEdges(n)) + len(m.Graph.InEdges(n))
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range counts {
+		if counts[i] != counts[0] || counts[i] == 0 {
+			t.Fatalf("goroutine %d saw %d indexed edges, goroutine 0 saw %d", i, counts[i], counts[0])
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package procgraph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"routinglens/internal/devmodel"
 	"routinglens/internal/netaddr"
@@ -131,9 +132,10 @@ type Graph struct {
 	extNode    map[string]*Node
 
 	// Lazily built per-node edge indexes (the graph is immutable after
-	// Build).
-	outIdx map[*Node][]*Edge
-	inIdx  map[*Node][]*Edge
+	// Build); idxOnce makes the first build safe under concurrent use.
+	idxOnce sync.Once
+	outIdx  map[*Node][]*Edge
+	inIdx   map[*Node][]*Edge
 }
 
 // ProcNode returns the graph node of a routing process.
@@ -159,10 +161,9 @@ func (g *Graph) InEdges(n *Node) []*Edge {
 
 // buildIndex lazily constructs the per-node edge indexes. The graph is
 // immutable after Build, so the index is computed once.
-func (g *Graph) buildIndex() {
-	if g.outIdx != nil {
-		return
-	}
+func (g *Graph) buildIndex() { g.idxOnce.Do(g.indexEdges) }
+
+func (g *Graph) indexEdges() {
 	g.outIdx = make(map[*Node][]*Edge, len(g.Nodes))
 	g.inIdx = make(map[*Node][]*Edge, len(g.Nodes))
 	for _, e := range g.Edges {

@@ -30,14 +30,14 @@ func TestCompartmentDeltaGuardrail(t *testing.T) {
 		c.Admission = &AdmissionPolicy{MaxErrorDiags: -1, MaxCompartmentDelta: 0}
 	})
 	mustReload(t, s)
-	serving := s.State()
+	serving := s.Net("default").State()
 
 	// The RIP routers lose their routing stanza: same router count, one
 	// compartment dissolved.
 	configs["c.cfg"] = "hostname c\ninterface Ethernet0\n ip address 10.1.0.1 255.255.255.252\n"
 	configs["d.cfg"] = "hostname d\ninterface Ethernet0\n ip address 10.1.0.2 255.255.255.252\n"
 
-	err := s.Reload(context.Background())
+	err := s.Net("default").Reload(context.Background())
 	var admErr *AdmissionError
 	if !errors.As(err, &admErr) {
 		t.Fatalf("reload err = %v, want *AdmissionError", err)
@@ -51,13 +51,13 @@ func TestCompartmentDeltaGuardrail(t *testing.T) {
 	if !found {
 		t.Errorf("rejection reasons %v lack the compartment verdict", admErr.Reasons)
 	}
-	if s.State() != serving {
+	if s.Net("default").State() != serving {
 		t.Error("rejected candidate displaced the serving generation")
 	}
-	if s.Degraded() {
+	if s.Net("default").Degraded() {
 		t.Error("admission rejection must not degrade the network")
 	}
-	rec := s.DefaultNet().Quarantine()
+	rec := s.Net("default").Quarantine()
 	if rec == nil {
 		t.Fatal("no quarantine record after compartment rejection")
 	}

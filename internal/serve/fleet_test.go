@@ -236,60 +236,40 @@ func TestFleetReloadIsolationStress(t *testing.T) {
 	}
 }
 
-// TestAliasEndpointsMatchCanonical: every deprecated single-network
-// endpoint answers byte-identically to its /v1/nets/<default>/ twin and
-// announces its own deprecation via the Deprecation and Link headers.
-func TestAliasEndpointsMatchCanonical(t *testing.T) {
+// TestRetiredSingleNetPathsAre404: the pre-fleet single-network paths
+// are gone; each answers the catch-all 404 with the JSON error
+// envelope, never a network's data.
+func TestRetiredSingleNetPathsAre404(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, tc := range []struct{ alias, canonical, endpoint string }{
-		{"/v1/summary", "/v1/nets/example/summary", "summary"},
-		{"/v1/pathway?router=r1", "/v1/nets/example/pathway?router=r1", "pathway"},
-		{"/v1/reach", "/v1/nets/example/reach", "reach"},
-		{"/v1/whatif", "/v1/nets/example/whatif", "whatif"},
-		{"/v1/events", "/v1/nets/example/events", "events"},
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/v1/summary"},
+		{"GET", "/v1/pathway?router=r1"},
+		{"GET", "/v1/reach"},
+		{"GET", "/v1/whatif"},
+		{"POST", "/v1/reload"},
+		{"GET", "/v1/events"},
+		{"GET", "/v1/watch"},
 	} {
-		fetch := func(u string) (string, http.Header) {
-			resp, err := http.Get(ts.URL + u)
-			if err != nil {
-				t.Fatalf("GET %s: %v", u, err)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: status %d", u, resp.StatusCode)
-			}
-			return string(body), resp.Header
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
-		aBody, aHdr := fetch(tc.alias)
-		cBody, cHdr := fetch(tc.canonical)
-		if aBody != cBody {
-			t.Errorf("%s: body differs from %s:\n%s\nvs\n%s", tc.alias, tc.canonical, aBody, cBody)
-		}
-		if aHdr.Get("Deprecation") != "true" {
-			t.Errorf("%s: missing Deprecation header", tc.alias)
-		}
-		wantLink := fmt.Sprintf("</v1/nets/example/%s>; rel=\"successor-version\"", tc.endpoint)
-		if got := aHdr.Get("Link"); got != wantLink {
-			t.Errorf("%s: Link = %q, want %q", tc.alias, got, wantLink)
-		}
-		if cHdr.Get("Deprecation") != "" {
-			t.Errorf("%s: canonical route must not carry Deprecation", tc.canonical)
+		var body errorBody
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || derr != nil ||
+			body.Code != codeNotFound || body.TraceID == "" {
+			t.Errorf("%s %s: got %d %+v (decode err %v), want 404 envelope with code %s and a trace_id",
+				tc.method, tc.path, resp.StatusCode, body, derr, codeNotFound)
 		}
 	}
-
-	// The POST alias too.
-	resp, err := http.Post(ts.URL+"/v1/reload", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("POST /v1/reload: got %d Deprecation=%q, want 200 true",
-			resp.StatusCode, resp.Header.Get("Deprecation"))
+	if st := s.Net("example").State(); st.Seq != 1 {
+		t.Errorf("POST /v1/reload reached the network: seq = %d, want 1", st.Seq)
 	}
 }
 
@@ -438,10 +418,6 @@ func TestFleetConfigValidation(t *testing.T) {
 		}},
 		{"empty name", func(c *Config) {
 			c.Nets = []NetSource{{Name: "", Dir: exampleDir}}
-		}},
-		{"unknown default net", func(c *Config) {
-			c.Nets = []NetSource{{Name: "a", Dir: exampleDir}}
-			c.DefaultNet = "b"
 		}},
 		{"missing corpus root", func(c *Config) {
 			c.CorpusDir = "no-such-corpus-root"

@@ -69,11 +69,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ok": true})
 }
 
-// readyzResponse is the /readyz body. The top-level fields describe the
-// default network (the single-network compatibility view); Nets breaks
-// readiness down per network on the global probe.
+// readyzResponse is one network's readiness: the /readyz?net= body and
+// one row of the fleet view's nets[].
 type readyzResponse struct {
-	Net      string `json:"net,omitempty"`
+	Net      string `json:"net"`
 	Ready    bool   `json:"ready"`
 	Degraded bool   `json:"degraded"`
 	Seq      int64  `json:"seq,omitempty"`
@@ -84,8 +83,15 @@ type readyzResponse struct {
 	LastErrorAt string `json:"last_error_at,omitempty"`
 	// Quarantined: the most recent reload was rejected by admission
 	// control (the serving design is intact; see /v1/nets/{net}/quarantine).
-	Quarantined bool             `json:"quarantined,omitempty"`
-	Nets        []readyzResponse `json:"nets,omitempty"`
+	Quarantined bool `json:"quarantined,omitempty"`
+}
+
+// fleetReadyzResponse is the /readyz body without ?net=: the fleet's
+// aggregate readiness, with per-network detail in Nets.
+type fleetReadyzResponse struct {
+	Ready    bool             `json:"ready"`
+	Degraded bool             `json:"degraded"`
+	Nets     []readyzResponse `json:"nets"`
 }
 
 // readyz snapshots one network's readiness.
@@ -130,24 +136,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, resp)
 		return
 	}
-	// The top-level view keeps the historical single-network shape,
-	// reflecting the default network's generation, with the fleet
-	// aggregates layered on.
-	resp := s.defNet.readyz()
-	resp.Net = ""
-	anyReady, allDegraded := false, true
+	resp := fleetReadyzResponse{Degraded: true, Nets: make([]readyzResponse, 0, len(s.netNames))}
 	for _, name := range s.netNames {
 		nr := s.nets[name].readyz()
-		if nr.Ready {
-			anyReady = true
-		}
-		if !nr.Degraded {
-			allDegraded = false
-		}
+		resp.Ready = resp.Ready || nr.Ready
+		resp.Degraded = resp.Degraded && nr.Degraded
 		resp.Nets = append(resp.Nets, nr)
 	}
-	resp.Ready = anyReady
-	resp.Degraded = allDegraded
 	code := http.StatusOK
 	if !resp.Ready {
 		code = http.StatusServiceUnavailable
@@ -185,7 +180,6 @@ type parseCacheInfo struct {
 
 // netsResponse is the /v1/nets discovery body.
 type netsResponse struct {
-	DefaultNet string          `json:"default_net"`
 	Count      int             `json:"count"`
 	Nets       []netInfo       `json:"nets"`
 	ParseCache *parseCacheInfo `json:"parse_cache,omitempty"`
@@ -196,9 +190,8 @@ type netsResponse struct {
 // This is the discovery endpoint a consumer starts from.
 func (s *Server) handleNets(w http.ResponseWriter, r *http.Request) {
 	resp := netsResponse{
-		DefaultNet: s.defNet.name,
-		Count:      len(s.netNames),
-		Nets:       make([]netInfo, 0, len(s.netNames)),
+		Count: len(s.netNames),
+		Nets:  make([]netInfo, 0, len(s.netNames)),
 	}
 	for _, name := range s.netNames {
 		nw := s.nets[name]

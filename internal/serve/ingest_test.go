@@ -124,8 +124,8 @@ func newIngestServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Helper()
 	dir := copyExample(t)
 	s := newTestServer(t, func(c *Config) {
-		c.Dir = dir
-		c.DefaultNet = "push"
+		c.Dir = ""
+		c.Nets = []NetSource{{Name: "push", Dir: dir}}
 		c.IngestDir = t.TempDir()
 		c.Admission = &AdmissionPolicy{MaxRouterLossPct: 50, MinRouters: 1, MaxErrorDiags: -1, MaxCompartmentDelta: -1}
 		if mutate != nil {
@@ -266,7 +266,7 @@ func TestCatastrophicPushQuarantined(t *testing.T) {
 	if got := s.reg.Counter(ingest.MetricPushes, lnet("push"), telemetry.L("result", "rejected")).Value(); got != 1 {
 		t.Errorf("ingest_pushes_total{result=rejected} = %v, want 1", got)
 	}
-	evs, _, _ := s.Events().Since(0, 0)
+	evs, _, _ := s.Net("push").Events().Since(0, 0)
 	found := false
 	for _, ev := range evs {
 		if ev.Type == EvtDesignRejected {
@@ -437,7 +437,7 @@ func TestRollbackRestoresPreviousGeneration(t *testing.T) {
 	if got := s.reg.Counter(ingest.MetricRollbacks, lnet("push")).Value(); got != 1 {
 		t.Errorf("ingest_rollbacks_total = %v, want 1", got)
 	}
-	evs, _, _ := s.Events().Since(0, 0)
+	evs, _, _ := s.Net("push").Events().Since(0, 0)
 	found := false
 	for _, ev := range evs {
 		if ev.Type == EvtConfigRolledBack {

@@ -43,7 +43,7 @@ type netHolderKey struct{}
 // panic — still gets a trace ID and a trace-store record. The control
 // plane uses lighter stacks (see stackFor) — it must answer even when
 // queries are saturated or timing out.
-func (s *Server) query(name, method string, alias bool, h func(http.ResponseWriter, *http.Request, *State, Query)) http.Handler {
+func (s *Server) query(name, method string, h func(http.ResponseWriter, *http.Request, *State, Query)) http.Handler {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		nw := netFrom(r.Context())
 		if err := s.faults.Fire(r.Context(), "handler."+name); err != nil {
@@ -98,7 +98,7 @@ func (s *Server) query(name, method string, alias bool, h func(http.ResponseWrit
 	stack := s.withTimeout(inner)
 	stack = s.withShed(stack)
 	stack = s.withRecovery(name, stack)
-	stack = s.withNet(alias, name, true, stack)
+	stack = s.withNet(name, true, stack)
 	stack = s.withMethod(method, stack)
 	return s.withTrace(name, telemetry.InstrumentHandler(s.reg, name, stack))
 }
@@ -115,30 +115,18 @@ func (s *Server) withMethod(method string, next http.Handler) http.Handler {
 	})
 }
 
-// withNet resolves the request's network and threads it through the
-// context. Canonical routes carry the name as the {net} path value — an
-// unknown name is a 404 with code unknown_net. Deprecated aliases
-// resolve to the default network and announce themselves with a
-// Deprecation header plus a Link to their canonical twin, so existing
-// consumers keep working while their logs tell them where to move.
-// When observe is set, the request's latency lands in the per-network
-// histogram.
-func (s *Server) withNet(alias bool, endpoint string, observe bool, next http.Handler) http.Handler {
+// withNet resolves the request's network from the {net} path value and
+// threads it through the context; an unknown name is a 404 with code
+// unknown_net. When observe is set, the request's latency lands in the
+// per-network histogram.
+func (s *Server) withNet(endpoint string, observe bool, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var nw *Network
-		if alias {
-			nw = s.defNet
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link",
-				fmt.Sprintf("</v1/nets/%s/%s>; rel=\"successor-version\"", nw.name, endpoint))
-		} else {
-			name := r.PathValue("net")
-			nw = s.nets[name]
-			if nw == nil {
-				writeError(w, r, http.StatusNotFound, codeUnknownNet,
-					fmt.Sprintf("unknown network %q; GET /v1/nets lists the fleet", name))
-				return
-			}
+		name := r.PathValue("net")
+		nw := s.nets[name]
+		if nw == nil {
+			writeError(w, r, http.StatusNotFound, codeUnknownNet,
+				fmt.Sprintf("unknown network %q; GET /v1/nets lists the fleet", name))
+			return
 		}
 		if h, ok := r.Context().Value(netHolderKey{}).(*netHolder); ok {
 			h.nw = nw
@@ -164,18 +152,19 @@ func (s *Server) withRecovery(name string, next http.Handler) http.Handler {
 		sw := &telemetry.StatusWriter{ResponseWriter: w}
 		defer func() {
 			if p := recover(); p != nil {
-				nw := netFrom(r.Context())
-				if nw == nil {
-					nw = s.defNet
-				}
 				s.reg.Counter(MetricPanicsRecovered).Inc()
+				// Global routes resolve no network: their panics log and
+				// count but have no event ring to land in.
+				nw := netFrom(r.Context())
 				s.log.Error("panic recovered; request failed, server continues",
-					"endpoint", name, "net", nw.name, "panic", fmt.Sprint(p))
-				nw.emit(EvtPanic, panicPayload{
-					Endpoint: name,
-					Net:      nw.name,
-					TraceID:  telemetry.TraceIDFrom(r.Context()),
-				})
+					"endpoint", name, "net", nw.Name(), "panic", fmt.Sprint(p))
+				if nw != nil {
+					nw.emit(EvtPanic, panicPayload{
+						Endpoint: name,
+						Net:      nw.name,
+						TraceID:  telemetry.TraceIDFrom(r.Context()),
+					})
+				}
 				if !sw.Wrote() {
 					writeError(sw, r, http.StatusInternalServerError, codeInternal,
 						"internal error (panic recovered)")

@@ -48,17 +48,18 @@ func (s *Server) withTrace(name string, next http.Handler) http.Handler {
 		})
 		s.traces.ObserveExemplar(name, id, d)
 		if slow {
+			// A request that never resolved its network (an unknown {net})
+			// logs and counts but has no event ring to land in.
 			nw := hold.nw
-			if nw == nil {
-				nw = s.defNet
-			}
 			s.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", name)).Inc()
 			s.log.Warn("slow query",
-				"endpoint", name, "net", nw.name, "trace_id", id, "status", status,
+				"endpoint", name, "net", nw.Name(), "trace_id", id, "status", status,
 				"elapsed", d.Round(time.Microsecond), "threshold", s.cfg.SlowQuery)
-			nw.emit(EvtSlowQuery, slowQueryPayload{
-				Endpoint: name, TraceID: id, Status: status, DurationMS: d.Milliseconds(),
-			})
+			if nw != nil {
+				nw.emit(EvtSlowQuery, slowQueryPayload{
+					Endpoint: name, TraceID: id, Status: status, DurationMS: d.Milliseconds(),
+				})
+			}
 		}
 	})
 }
@@ -185,16 +186,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleVersion reports the build identity (also exported as the
-// routinglens_build_info gauge) plus what the daemon is serving; the
-// design_seq is the default network's, for single-network consumers.
+// routinglens_build_info gauge) plus how many networks the daemon
+// serves; per-network generations are on /v1/nets.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	out := struct {
 		telemetry.Build
-		DesignSeq int64 `json:"design_seq,omitempty"`
-		Nets      int   `json:"nets,omitempty"`
+		Nets int `json:"nets,omitempty"`
 	}{Build: s.build, Nets: len(s.netNames)}
-	if st := s.defNet.cur.Load(); st != nil {
-		out.DesignSeq = st.Seq
-	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -21,7 +21,7 @@ func TestTraceIDOnEveryDataPlaneResponse(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	paths := []string{"/v1/summary", "/v1/pathway?router=r1", "/v1/reach", "/v1/whatif"}
+	paths := []string{"/v1/nets/example/summary", "/v1/nets/example/pathway?router=r1", "/v1/nets/example/reach", "/v1/nets/example/whatif"}
 	for _, p := range paths {
 		code, _, hdr := get(t, ts.URL+p)
 		if code != http.StatusOK {
@@ -48,7 +48,7 @@ func TestTraceIDOnEveryDataPlaneResponse(t *testing.T) {
 	}
 
 	// Errored responses are traced too.
-	_, _, hdr := get(t, ts.URL+"/v1/pathway?router=no-such-router")
+	_, _, hdr := get(t, ts.URL+"/v1/nets/example/pathway?router=no-such-router")
 	id := hdr.Get(telemetry.TraceHeader)
 	if !telemetry.ValidTraceID(id) {
 		t.Fatalf("404 response has no trace ID")
@@ -83,7 +83,7 @@ func TestTraceparentHonored(t *testing.T) {
 	defer ts.Close()
 
 	const want = "4bf92f3577b34da6a3ce929d0e0e4736"
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/nets/example/summary", nil)
 	req.Header.Set(telemetry.TraceparentHeader, "00-"+want+"-00f067aa0ba902b7-01")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -100,7 +100,7 @@ func TestTraceparentHonored(t *testing.T) {
 	}
 
 	// A malformed traceparent falls back to a fresh ID, not a 4xx.
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
+	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/nets/example/summary", nil)
 	req.Header.Set(telemetry.TraceparentHeader, "garbage")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -123,8 +123,8 @@ func TestCacheReplayInstrumentedAndTraced(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, _, hdr1 := get(t, ts.URL+"/v1/summary")
-	code, _, hdr2 := get(t, ts.URL+"/v1/summary")
+	_, _, hdr1 := get(t, ts.URL+"/v1/nets/example/summary")
+	code, _, hdr2 := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK || hdr2.Get("X-Cache") != "hit" {
 		t.Fatalf("second request: code %d, X-Cache %q, want 200 hit", code, hdr2.Get("X-Cache"))
 	}
@@ -161,7 +161,7 @@ func TestSlowQueryReported(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, _, hdr := get(t, ts.URL+"/v1/summary")
+	_, _, hdr := get(t, ts.URL+"/v1/nets/example/summary")
 	id := hdr.Get(telemetry.TraceHeader)
 	if got := s.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", "summary")).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricSlowQueries, got)
@@ -170,7 +170,7 @@ func TestSlowQueryReported(t *testing.T) {
 	if m["slow"] != true {
 		t.Errorf("trace slow = %v, want true", m["slow"])
 	}
-	evs, _, _ := s.Events().Since(0, 0)
+	evs, _, _ := s.Net("example").Events().Since(0, 0)
 	var found bool
 	for _, ev := range evs {
 		if ev.Type == EvtSlowQuery && ev.Payload.(slowQueryPayload).TraceID == id {
@@ -181,12 +181,24 @@ func TestSlowQueryReported(t *testing.T) {
 		t.Errorf("no %s event carrying trace %s in %d events", EvtSlowQuery, id, len(evs))
 	}
 
+	// A slow request that resolved no network still counts, and lands in
+	// no network's event ring.
+	if code, _, _ := get(t, ts.URL+"/v1/nets/no-such-net/summary"); code != http.StatusNotFound {
+		t.Errorf("unknown net: got %d, want 404", code)
+	}
+	if got := s.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", "summary")).Value(); got != 2 {
+		t.Errorf("%s after an unresolved slow request = %d, want 2", MetricSlowQueries, got)
+	}
+	if after, _, _ := s.Net("example").Events().Since(0, 0); len(after) != len(evs) {
+		t.Errorf("unresolved slow request published into example's ring: %d -> %d events", len(evs), len(after))
+	}
+
 	// Negative threshold disables reporting entirely.
 	s2 := newTestServer(t, func(c *Config) { c.SlowQuery = -1 })
 	mustReload(t, s2)
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	get(t, ts2.URL+"/v1/summary")
+	get(t, ts2.URL+"/v1/nets/example/summary")
 	if got := s2.reg.Counter(MetricSlowQueries, telemetry.L("endpoint", "summary")).Value(); got != 0 {
 		t.Errorf("disabled slow-query still counted %d", got)
 	}
@@ -210,8 +222,11 @@ func TestVersionAndBuildInfo(t *testing.T) {
 	if m["version"] == "" {
 		t.Error("version is empty")
 	}
-	if m["design_seq"].(float64) != 1 {
-		t.Errorf("design_seq = %v, want 1", m["design_seq"])
+	if m["nets"].(float64) != 1 {
+		t.Errorf("nets = %v, want 1", m["nets"])
+	}
+	if _, ok := m["design_seq"]; ok {
+		t.Error("version still reports a design_seq; generations are per network on /v1/nets")
 	}
 
 	resp, err := http.Get(ts.URL + "/metrics")

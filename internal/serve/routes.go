@@ -28,24 +28,17 @@ const (
 )
 
 // routeSpec declares one route of the daemon's HTTP surface. The whole
-// surface is this table: buildHandler mounts it, RouteTable renders it
-// for the golden-route regression test, and the deprecated
-// single-network aliases are ordinary rows pointing at their canonical
-// twins.
+// surface is this table: buildHandler mounts it, and RouteTable renders
+// it for the golden-route regression test.
 type routeSpec struct {
 	method   string
 	pattern  string
 	endpoint string
 	kind     routeKind
-	// aliasOf names the canonical pattern a deprecated route forwards
-	// to; such routes resolve to the default network and answer with a
-	// Deprecation header. Empty for canonical routes.
-	aliasOf string
 }
 
 // routes is the daemon's complete HTTP surface, in documentation order:
-// fleet-wide control plane, then the canonical per-network API, then
-// the deprecated single-network aliases.
+// fleet-wide control plane, then the per-network API.
 var routes = []routeSpec{
 	{method: "GET", pattern: "/healthz", endpoint: "healthz", kind: routeGlobal},
 	{method: "GET", pattern: "/readyz", endpoint: "readyz", kind: routeGlobal},
@@ -65,14 +58,6 @@ var routes = []routeSpec{
 	{method: "GET", pattern: "/v1/nets/{net}/quarantine", endpoint: "quarantine", kind: routeNetCtl},
 	{method: "GET", pattern: "/v1/nets/{net}/events", endpoint: "events", kind: routeNetCtl},
 	{method: "GET", pattern: "/v1/nets/{net}/watch", endpoint: "watch", kind: routeNetCtl},
-
-	{method: "GET", pattern: "/v1/summary", endpoint: "summary", kind: routeQuery, aliasOf: "/v1/nets/{net}/summary"},
-	{method: "GET", pattern: "/v1/pathway", endpoint: "pathway", kind: routeQuery, aliasOf: "/v1/nets/{net}/pathway"},
-	{method: "GET", pattern: "/v1/reach", endpoint: "reach", kind: routeQuery, aliasOf: "/v1/nets/{net}/reach"},
-	{method: "GET", pattern: "/v1/whatif", endpoint: "whatif", kind: routeQuery, aliasOf: "/v1/nets/{net}/whatif"},
-	{method: "POST", pattern: "/v1/reload", endpoint: "reload", kind: routeNetCtl, aliasOf: "/v1/nets/{net}/reload"},
-	{method: "GET", pattern: "/v1/events", endpoint: "events", kind: routeNetCtl, aliasOf: "/v1/nets/{net}/events"},
-	{method: "GET", pattern: "/v1/watch", endpoint: "watch", kind: routeNetCtl, aliasOf: "/v1/nets/{net}/watch"},
 }
 
 // RouteTable renders the full route surface, one line per route — the
@@ -81,11 +66,7 @@ var routes = []routeSpec{
 func RouteTable() string {
 	var b strings.Builder
 	for _, rt := range routes {
-		fmt.Fprintf(&b, "%-4s %-28s endpoint=%s", rt.method, rt.pattern, rt.endpoint)
-		if rt.aliasOf != "" {
-			fmt.Fprintf(&b, " deprecated-alias-of=%s", rt.aliasOf)
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%-4s %-28s endpoint=%s\n", rt.method, rt.pattern, rt.endpoint)
 	}
 	return b.String()
 }
@@ -106,10 +87,9 @@ func (s *Server) buildHandler() http.Handler {
 
 // stackFor assembles the middleware stack one route runs behind.
 func (s *Server) stackFor(rt routeSpec) http.Handler {
-	alias := rt.aliasOf != ""
 	switch rt.kind {
 	case routeQuery:
-		return s.query(rt.endpoint, rt.method, alias, s.queryHandler(rt.endpoint))
+		return s.query(rt.endpoint, rt.method, s.queryHandler(rt.endpoint))
 	case routeNetCtl:
 		h := s.netCtlHandler(rt.endpoint)
 		inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -118,7 +98,7 @@ func (s *Server) stackFor(rt routeSpec) http.Handler {
 		// Watch streams indefinitely; observing its latency would record
 		// connection lifetimes, not service time.
 		stack := s.withRecovery(rt.endpoint, inner)
-		stack = s.withNet(alias, rt.endpoint, rt.endpoint != "watch", stack)
+		stack = s.withNet(rt.endpoint, rt.endpoint != "watch", stack)
 		stack = s.withMethod(rt.method, stack)
 		stack = s.withTraceID(stack)
 		return telemetry.InstrumentHandler(s.reg, rt.endpoint, stack)

@@ -3,11 +3,12 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 // TestRouteTableGolden pins the daemon's full HTTP surface — every
-// method, pattern, endpoint name, and deprecation alias — against
+// method, pattern, and endpoint name — against
 // testdata/routes.golden. A route added, removed, or renamed is an API
 // contract change: update the golden file deliberately with
 //
@@ -38,32 +39,31 @@ func TestRouteTableGolden(t *testing.T) {
 }
 
 // TestRouteTableInvariants enforces the structural rules the golden file
-// alone cannot: every alias points at an existing canonical route of the
-// same endpoint, and endpoint names match their path suffix (withNet
-// builds Link headers from that equality).
+// alone cannot: every (method, pattern) pair is mounted once, network-
+// scoped routes live under /v1/nets/{net}/ (withNet resolves the
+// network from that path value) and end in their endpoint name, and
+// fleet-wide routes carry no {net}.
 func TestRouteTableInvariants(t *testing.T) {
-	canonical := make(map[string]string) // pattern -> endpoint
+	seen := make(map[string]bool)
 	for _, rt := range routes {
-		if rt.aliasOf == "" {
-			canonical[rt.pattern] = rt.endpoint
+		key := rt.method + " " + rt.pattern
+		if seen[key] {
+			t.Errorf("%s mounted twice", key)
 		}
-	}
-	for _, rt := range routes {
-		if rt.aliasOf == "" {
-			continue
-		}
-		ep, ok := canonical[rt.aliasOf]
-		if !ok {
-			t.Errorf("alias %s points at %s, which is not a canonical route", rt.pattern, rt.aliasOf)
-			continue
-		}
-		if ep != rt.endpoint {
-			t.Errorf("alias %s (endpoint %s) points at %s (endpoint %s); endpoints must match",
-				rt.pattern, rt.endpoint, rt.aliasOf, ep)
-		}
-		if want := "/v1/nets/{net}/" + rt.endpoint; rt.aliasOf != want {
-			t.Errorf("alias %s: canonical pattern %s should be %s (Link headers derive from the endpoint name)",
-				rt.pattern, rt.aliasOf, want)
+		seen[key] = true
+		scoped := strings.HasPrefix(rt.pattern, "/v1/nets/{net}/")
+		switch rt.kind {
+		case routeQuery, routeNetCtl:
+			if !scoped {
+				t.Errorf("%s: network-scoped route outside /v1/nets/{net}/", rt.pattern)
+			}
+			if !strings.HasSuffix(rt.pattern, "/"+rt.endpoint) {
+				t.Errorf("%s: path does not end in its endpoint name %q", rt.pattern, rt.endpoint)
+			}
+		default:
+			if strings.Contains(rt.pattern, "{net}") {
+				t.Errorf("%s: fleet-wide route carries a {net} segment", rt.pattern)
+			}
 		}
 	}
 }

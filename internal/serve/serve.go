@@ -51,6 +51,7 @@ import (
 	"routinglens/internal/ingest"
 	"routinglens/internal/netaddr"
 	"routinglens/internal/parsecache"
+	"routinglens/internal/pool"
 	"routinglens/internal/reach"
 	"routinglens/internal/simroute"
 	"routinglens/internal/telemetry"
@@ -110,12 +111,12 @@ type NetSource struct {
 // CorpusDir, or the single-network Dir/Load pair.
 type Config struct {
 	// Dir is the single-network configuration directory analyzed at
-	// startup and on every reload. The network is named DefaultNet if
-	// set, else after the directory's base name.
+	// startup and on every reload. The network is named after the
+	// directory's base name; use Nets to choose another name.
 	Dir string
 	// Load, when non-nil, replaces directory analysis for the single
-	// network — tests and the in-process smoke harness load from memory
-	// through it.
+	// network, which is then named "default" (unless Dir names it) —
+	// tests and the in-process smoke harness load from memory through it.
 	Load func(ctx context.Context) (*core.Result, error)
 	// CorpusDir is a corpus root — one subdirectory per network, one
 	// configuration file per router, the layout `cmd/netgen -out`
@@ -125,10 +126,6 @@ type Config struct {
 	// Nets explicitly enumerates the served networks; takes precedence
 	// over CorpusDir and Dir/Load.
 	Nets []NetSource
-	// DefaultNet names the network the deprecated single-network
-	// endpoints (/v1/summary, ...) resolve to. Defaults to the sole
-	// network, or the first in name order.
-	DefaultNet string
 	// Analyzer runs the analyses for every network; nil means one
 	// core.NewAnalyzer per network built from AnalyzerOptions plus the
 	// shared ParseCache.
@@ -398,8 +395,15 @@ type Network struct {
 	store   *ingest.Store
 }
 
-// Name returns the network's name — its {net} path segment.
-func (nw *Network) Name() string { return nw.name }
+// Name returns the network's name — its {net} path segment — or "" for
+// a nil network, so request logging can name whatever a request
+// resolved, including nothing.
+func (nw *Network) Name() string {
+	if nw == nil {
+		return ""
+	}
+	return nw.name
+}
 
 // State returns the design generation the network currently serves (nil
 // before its first successful load).
@@ -426,7 +430,6 @@ type Server struct {
 
 	nets     map[string]*Network
 	netNames []string // sorted
-	defNet   *Network
 	pc       *parsecache.Cache
 	// reloadSem bounds concurrently running analysis attempts across
 	// the whole fleet (capacity ReloadWorkers).
@@ -449,9 +452,9 @@ type Server struct {
 // New builds a Server from cfg, resolving defaults and discovering the
 // served networks. It returns an error when the network set itself is
 // unusable — an unreadable corpus root, duplicate or malformed network
-// names, an unknown DefaultNet; a network whose directory merely fails
-// to analyze is not an error here (that is Reload's business, and the
-// fleet serves around it).
+// names; a network whose directory merely fails to analyze is not an
+// error here (that is Reload's business, and the fleet serves around
+// it).
 func New(cfg Config) (*Server, error) {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 10 * time.Second
@@ -510,20 +513,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	sort.Strings(s.netNames)
-	if cfg.DefaultNet != "" {
-		nw, ok := s.nets[cfg.DefaultNet]
-		if !ok {
-			return nil, fmt.Errorf("serve: default net %q is not among the served networks %v",
-				cfg.DefaultNet, s.netNames)
-		}
-		s.defNet = nw
-	} else {
-		s.defNet = s.nets[s.netNames[0]]
-		if len(s.netNames) > 1 {
-			s.log.Info("no default net configured; deprecated single-network endpoints resolve to the first by name",
-				"net", s.defNet.name)
-		}
-	}
 	s.handler = s.buildHandler()
 	return s, nil
 }
@@ -546,12 +535,9 @@ func (cfg Config) netSources() ([]NetSource, error) {
 		}
 		return srcs, nil
 	}
-	name := cfg.DefaultNet
-	if name == "" && cfg.Dir != "" {
+	name := "default"
+	if cfg.Dir != "" {
 		name = filepath.Base(filepath.Clean(cfg.Dir))
-	}
-	if name == "" {
-		name = "default"
 	}
 	return []NetSource{{Name: name, Dir: cfg.Dir, Load: cfg.Load}}, nil
 }
@@ -609,14 +595,6 @@ func (s *Server) Net(name string) *Network { return s.nets[name] }
 // Nets returns the served network names, sorted.
 func (s *Server) Nets() []string { return append([]string(nil), s.netNames...) }
 
-// DefaultNet returns the network the deprecated single-network
-// endpoints resolve to.
-func (s *Server) DefaultNet() *Network { return s.defNet }
-
-// Events exposes the default network's event buffer; embedders serving
-// one network publish and observe through it.
-func (s *Server) Events() *events.Buffer { return s.defNet.evts }
-
 func registerHelp(reg *telemetry.Registry) {
 	reg.SetHelp(telemetry.MetricHTTPRequests, "HTTP requests served, by endpoint and status code.")
 	reg.SetHelp(telemetry.MetricHTTPLatency, "HTTP request latency, by endpoint.")
@@ -650,14 +628,6 @@ func registerHelp(reg *telemetry.Registry) {
 
 // Handler returns the daemon's HTTP surface.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// State returns the default network's served generation (nil before its
-// first successful load).
-func (s *Server) State() *State { return s.defNet.State() }
-
-// Degraded reports whether the default network's most recent (re)load
-// failed.
-func (s *Server) Degraded() bool { return s.defNet.Degraded() }
 
 // observeCrossNetHits exports the shared parse cache's cross-network
 // hit count after load activity; a no-op without a shared cache.
@@ -920,17 +890,13 @@ func (nw *Network) failReload(err error) error {
 	return err
 }
 
-// Reload reloads the default network — the single-network compatibility
-// surface tests and embedders use.
-func (s *Server) Reload(ctx context.Context) error { return s.defNet.Reload(ctx) }
-
 // ReloadAll (re)loads every network through the bounded fleet-wide
 // worker pool, in name order, and returns the first failure by name
 // order (every network still gets its attempt — one bad network must
 // not stop the rest of the fleet from loading).
 func (s *Server) ReloadAll(ctx context.Context) error {
 	errs := make([]error, len(s.netNames))
-	experiments.RunPool(ctx, s.cfg.ReloadWorkers, len(s.netNames), func(i int) {
+	pool.Run(ctx, s.cfg.ReloadWorkers, len(s.netNames), func(i int) {
 		errs[i] = s.nets[s.netNames[i]].Reload(ctx)
 	})
 	if err := ctx.Err(); err != nil {

@@ -71,8 +71,8 @@ func get(t *testing.T, url string) (int, map[string]any, http.Header) {
 
 func mustReload(t *testing.T, s *Server) {
 	t.Helper()
-	if err := s.Reload(context.Background()); err != nil {
-		t.Fatalf("Reload: %v", err)
+	if err := s.ReloadAll(context.Background()); err != nil {
+		t.Fatalf("ReloadAll: %v", err)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestEndpointsServeDesign(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("summary: got %d, want 200 (%v)", code, m)
 	}
@@ -93,7 +93,7 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("summary seq = %v, want 1", got)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/pathway?router=r1")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/pathway?router=r1")
 	if code != http.StatusOK {
 		t.Fatalf("pathway: got %d, want 200 (%v)", code, m)
 	}
@@ -101,12 +101,12 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("pathway router = %v, want r1", m["router"])
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/pathway?router=no-such-router")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/pathway?router=no-such-router")
 	if code != http.StatusNotFound {
 		t.Errorf("pathway unknown router: got %d, want 404 (%v)", code, m)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/reach")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/reach")
 	if code != http.StatusOK {
 		t.Fatalf("reach: got %d, want 200 (%v)", code, m)
 	}
@@ -114,7 +114,7 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("reach: missing has_default_route in %v", m)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/reach?src=10.10.1.0/24&dst=10.10.2.0/24")
 	if code != http.StatusOK {
 		t.Fatalf("reach blocks: got %d, want 200 (%v)", code, m)
 	}
@@ -122,13 +122,13 @@ func TestEndpointsServeDesign(t *testing.T) {
 		t.Errorf("reach blocks: missing reachable in %v", m)
 	}
 
-	code, m, _ = get(t, ts.URL+"/v1/whatif")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/whatif")
 	if code != http.StatusOK {
 		t.Fatalf("whatif: got %d, want 200 (%v)", code, m)
 	}
 
 	// Text renderings reuse the CLI formatters.
-	for _, u := range []string{"/v1/summary?format=text", "/v1/pathway?router=r1&format=text", "/v1/whatif?format=text"} {
+	for _, u := range []string{"/v1/nets/example/summary?format=text", "/v1/nets/example/pathway?router=r1&format=text", "/v1/nets/example/whatif?format=text"} {
 		resp, err := http.Get(ts.URL + u)
 		if err != nil {
 			t.Fatalf("GET %s: %v", u, err)
@@ -172,12 +172,12 @@ func TestQueryValidationAndMethods(t *testing.T) {
 		url  string
 		want int
 	}{
-		{"/v1/summary?bogus=1", http.StatusBadRequest},
-		{"/v1/summary?format=xml", http.StatusBadRequest},
-		{"/v1/pathway", http.StatusBadRequest}, // missing router
-		{"/v1/reach?src=10.0.0.0/8", http.StatusBadRequest},
-		{"/v1/reach?src=not-a-prefix&dst=10.0.0.0/8", http.StatusBadRequest},
-		{"/v1/reload", http.StatusMethodNotAllowed}, // GET on a POST endpoint
+		{"/v1/nets/example/summary?bogus=1", http.StatusBadRequest},
+		{"/v1/nets/example/summary?format=xml", http.StatusBadRequest},
+		{"/v1/nets/example/pathway", http.StatusBadRequest}, // missing router
+		{"/v1/nets/example/reach?src=10.0.0.0/8", http.StatusBadRequest},
+		{"/v1/nets/example/reach?src=not-a-prefix&dst=10.0.0.0/8", http.StatusBadRequest},
+		{"/v1/nets/example/reload", http.StatusMethodNotAllowed}, // GET on a POST endpoint
 	} {
 		code, m, _ := get(t, ts.URL+tc.url)
 		if code != tc.want {
@@ -185,7 +185,7 @@ func TestQueryValidationAndMethods(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/summary", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/nets/example/summary", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestNoDesignYet(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, _, _ := get(t, ts.URL+"/v1/summary")
+	code, _, _ := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusServiceUnavailable {
 		t.Errorf("summary before load: got %d, want 503", code)
 	}
@@ -230,14 +230,14 @@ func TestPanicRecovered(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking request: got %d, want 500 (%v)", code, m)
 	}
 	if got := reg.Counter(MetricPanicsRecovered).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricPanicsRecovered, got)
 	}
-	code, m, _ = get(t, ts.URL+"/v1/summary")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("request after panic: got %d, want 200 (%v)", code, m)
 	}
@@ -260,7 +260,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/reload", "", nil)
+	resp, err := http.Post(ts.URL+"/v1/nets/example/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 		t.Errorf("failing reload: missing last-good note in %v", m)
 	}
 
-	code, m, _ := get(t, ts.URL+"/readyz")
+	code, m, _ := get(t, ts.URL+"/readyz?net=example")
 	if code != http.StatusServiceUnavailable || m["degraded"] != true {
 		t.Fatalf("readyz while degraded: got %d %v, want 503 degraded", code, m)
 	}
@@ -283,7 +283,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	}
 
 	// The query plane is unaffected: last-good generation 1 still serves.
-	code, m, _ = get(t, ts.URL+"/v1/summary")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK {
 		t.Fatalf("summary while degraded: got %d, want 200 (%v)", code, m)
 	}
@@ -292,7 +292,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	}
 
 	// Recovery: the fault window is exhausted, so this reload lands.
-	resp, err = http.Post(ts.URL+"/v1/reload", "", nil)
+	resp, err = http.Post(ts.URL+"/v1/nets/example/reload", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestReloadFailureKeepsLastGood(t *testing.T) {
 	if code != http.StatusOK || m["degraded"] != false {
 		t.Errorf("readyz after recovery: got %d %v, want 200 not-degraded", code, m)
 	}
-	code, m, _ = get(t, ts.URL+"/v1/summary")
+	code, m, _ = get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusOK || m["seq"].(float64) != 2 {
 		t.Errorf("summary after recovery: got %d seq=%v, want 200 seq=2", code, m["seq"])
 	}
@@ -334,7 +334,7 @@ func TestShedUnderSaturation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			codes[i], _, _ = get(t, ts.URL+"/v1/summary")
+			codes[i], _, _ = get(t, ts.URL+"/v1/nets/example/summary")
 		}(i)
 	}
 	// Wait for both to hold their slots before probing.
@@ -346,7 +346,7 @@ func TestShedUnderSaturation(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	code, m, hdr := get(t, ts.URL+"/v1/summary")
+	code, m, hdr := get(t, ts.URL+"/v1/nets/example/summary")
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("saturated request: got %d, want 429 (%v)", code, m)
 	}
@@ -381,14 +381,14 @@ func TestRequestTimeout(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	code, m, _ := get(t, ts.URL+"/v1/whatif")
+	code, m, _ := get(t, ts.URL+"/v1/nets/example/whatif")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("slow request: got %d, want 504 (%v)", code, m)
 	}
 	if got := reg.Counter(MetricTimeouts).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", MetricTimeouts, got)
 	}
-	code, _, _ = get(t, ts.URL+"/v1/whatif")
+	code, _, _ = get(t, ts.URL+"/v1/nets/example/whatif")
 	if code != http.StatusOK {
 		t.Errorf("request after timeout: got %d, want 200", code)
 	}
@@ -419,7 +419,7 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 
 	reqDone := make(chan int, 1)
 	go func() {
-		code, _, _ := get(t, base+"/v1/summary")
+		code, _, _ := get(t, base+"/v1/nets/example/summary")
 		reqDone <- code
 	}()
 	deadline := time.Now().Add(3 * time.Second)
@@ -467,7 +467,7 @@ func TestSIGHUPReloads(t *testing.T) {
 	sigs <- syscall.SIGHUP
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if st := s.State(); st != nil && st.Seq >= 2 {
+		if st := s.Net("example").State(); st != nil && st.Seq >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -492,8 +492,8 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 	defer ts.Close()
 
 	urls := []string{
-		"/v1/summary", "/v1/pathway?router=r1", "/v1/reach",
-		"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24", "/v1/whatif",
+		"/v1/nets/example/summary", "/v1/nets/example/pathway?router=r1", "/v1/nets/example/reach",
+		"/v1/nets/example/reach?src=10.10.1.0/24&dst=10.10.2.0/24", "/v1/nets/example/whatif",
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -538,7 +538,7 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 	for e := range errs {
 		t.Errorf("query during reload swap: %s", e)
 	}
-	if st := s.State(); st == nil || st.Seq != 6 {
+	if st := s.Net("example").State(); st == nil || st.Seq != 6 {
 		t.Errorf("final generation = %v, want 6", st)
 	}
 }
@@ -548,7 +548,7 @@ func TestConcurrentQueriesDuringReload(t *testing.T) {
 func TestStateLazyAnalysesComputedOnce(t *testing.T) {
 	s := newTestServer(t, nil)
 	mustReload(t, s)
-	st := s.State()
+	st := s.Net("example").State()
 	var wg sync.WaitGroup
 	reaches := make([]any, 16)
 	for i := range reaches {
@@ -586,8 +586,29 @@ func TestLoadHookReplacesDirectory(t *testing.T) {
 	mustReload(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/default/summary")
 	if code != http.StatusOK || m["routers"].(float64) != 2 {
 		t.Fatalf("summary over Load hook: got %d %v, want 200 with 2 routers", code, m)
+	}
+}
+
+// TestBackgroundReloadsRecordNoSpans: reloads with no request collector
+// (startup, SIGHUP, the config watcher) time their stages into the
+// registry but append nothing to the process-global span collector, so a
+// long-running daemon's span memory stays flat.
+func TestBackgroundReloadsRecordNoSpans(t *testing.T) {
+	var reg *telemetry.Registry
+	s := newTestServer(t, func(c *Config) { reg = c.Registry })
+	mustReload(t, s)
+	spans := len(telemetry.DefaultCollector.Records())
+	stages := reg.Histogram(telemetry.StageSecondsMetric, nil, telemetry.L("stage", "analyze")).Count()
+	for i := 0; i < 3; i++ {
+		mustReload(t, s)
+	}
+	if got := reg.Histogram(telemetry.StageSecondsMetric, nil, telemetry.L("stage", "analyze")).Count(); got != stages+3 {
+		t.Errorf("analyze stage observations = %d, want %d: the reloads ran no instrumented analysis", got, stages+3)
+	}
+	if got := len(telemetry.DefaultCollector.Records()); got != spans {
+		t.Errorf("DefaultCollector grew from %d to %d records across background reloads", spans, got)
 	}
 }

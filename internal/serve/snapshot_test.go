@@ -82,7 +82,7 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
-	_, base, _ := get(t, ts1.URL+"/v1/summary")
+	_, base, _ := get(t, ts1.URL+"/v1/nets/snapnet/summary")
 
 	// Second server cold-starts from the snapshot.
 	s2 := snapServer(t, dir, snapDir)
@@ -90,20 +90,20 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	if got := netCounterVal(s2, core.MetricSnapshotLoads, "snapnet"); got != 1 {
 		t.Fatalf("loads after cold start = %d, want 1", got)
 	}
-	st := s2.defNet.cur.Load()
+	st := s2.Net("snapnet").State()
 	if st == nil || !st.Res.FromSnapshot {
 		t.Fatalf("cold start did not restore from snapshot (state %+v)", st)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
-	_, got, _ := get(t, ts2.URL+"/v1/summary")
+	_, got, _ := get(t, ts2.URL+"/v1/nets/snapnet/summary")
 	if !reflect.DeepEqual(bodyWithoutTimes(t, base), bodyWithoutTimes(t, got)) {
 		t.Errorf("snapshot-restored summary differs:\n full: %v\n snap: %v", base, got)
 	}
 
 	// A no-change reload keeps the serving generation: same *State, no
 	// seq bump, no query-cache purge, result counted "unchanged".
-	resp, err := http.Post(ts2.URL+"/v1/reload", "", nil)
+	resp, err := http.Post(ts2.URL+"/v1/nets/snapnet/reload", "", nil)
 	if err != nil {
 		t.Fatalf("POST reload: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 	if rm["unchanged"] != true {
 		t.Errorf("reload response unchanged = %v, want true (%v)", rm["unchanged"], rm)
 	}
-	if after := s2.defNet.cur.Load(); after != st {
+	if after := s2.Net("snapnet").State(); after != st {
 		t.Errorf("no-change reload swapped the generation (seq %d -> %d)", st.Seq, after.Seq)
 	}
 	unchanged := s2.reg.Counter(MetricReloads, lnet("snapnet"), telemetry.L("result", "unchanged")).Value()
@@ -134,7 +134,7 @@ func TestSnapshotColdStartAndUnchangedReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReload(t, s2)
-	after := s2.defNet.cur.Load()
+	after := s2.Net("snapnet").State()
 	if after == st {
 		t.Fatal("reload after edit kept the old generation")
 	}
@@ -174,7 +174,7 @@ func TestSnapshotCorruptionServesIdenticalAnswers(t *testing.T) {
 	if got := netCounterVal(s, core.MetricSnapshotInvalid, "snapcorrupt"); got != 1 {
 		t.Errorf("invalid after corrupt load = %d, want 1", got)
 	}
-	if st := s.defNet.cur.Load(); st.Res.FromSnapshot {
+	if st := s.Net("snapcorrupt").State(); st.Res.FromSnapshot {
 		t.Error("corrupt snapshot claims to have restored")
 	}
 	// Full re-analysis refreshed the snapshot; the corruption healed.
@@ -191,11 +191,11 @@ func TestSnapshotCorruptionServesIdenticalAnswers(t *testing.T) {
 	// "Slower, never wrong": every query answer matches the
 	// never-snapshotted server byte for byte (modulo load timestamps).
 	for _, ep := range []string{
-		"/v1/summary",
-		"/v1/pathway?router=r1",
-		"/v1/reach",
-		"/v1/reach?src=10.10.1.0/24&dst=10.10.2.0/24",
-		"/v1/whatif",
+		"/v1/nets/snapcorrupt/summary",
+		"/v1/nets/snapcorrupt/pathway?router=r1",
+		"/v1/nets/snapcorrupt/reach",
+		"/v1/nets/snapcorrupt/reach?src=10.10.1.0/24&dst=10.10.2.0/24",
+		"/v1/nets/snapcorrupt/whatif",
 	} {
 		_, want, _ := get(t, tsPlain.URL+ep)
 		_, got, _ := get(t, ts.URL+ep)
@@ -232,7 +232,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				// Reload errors are impossible here (the corpus always
 				// parses); surface any as test failures.
-				if err := s.defNet.Reload(context.Background()); err != nil {
+				if err := s.Net("snapstress").Reload(context.Background()); err != nil {
 					t.Errorf("concurrent reload: %v", err)
 				}
 			}
@@ -243,7 +243,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				code, m, _ := get(t, ts.URL+"/v1/summary")
+				code, m, _ := get(t, ts.URL+"/v1/nets/snapstress/summary")
 				if code != 200 {
 					t.Errorf("summary during stress: got %d (%v)", code, m)
 				} else if m["routers"].(float64) != 6 {
@@ -270,7 +270,7 @@ func TestSnapshotLoadDuringReloadStress(t *testing.T) {
 	// Converge: one final reload must land a coherent design and leave a
 	// loadable snapshot behind.
 	mustReload(t, s)
-	code, m, _ := get(t, ts.URL+"/v1/summary")
+	code, m, _ := get(t, ts.URL+"/v1/nets/snapstress/summary")
 	if code != 200 || m["routers"].(float64) != 6 {
 		t.Fatalf("post-stress summary: code %d, body %v", code, m)
 	}

@@ -190,7 +190,7 @@ func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 	defer ts.Close()
 
 	// The watcher connects BEFORE the drifting reload.
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/default/watch", "")
 	defer cancel()
 	// It first replays the initial load's generation.swap from the ring.
 	f := nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.event == string(EvtSwap) })
@@ -226,7 +226,7 @@ func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 
 	// Cursor path: the same diff event is readable by cursor on
 	// /v1/events, at the exact cursor the stream frame carried.
-	page := eventsPage(t, ts.URL+"/v1/events")
+	page := eventsPage(t, ts.URL+"/v1/nets/default/events")
 	var found bool
 	for _, pe := range page.Events {
 		if pe.Type == string(EvtDesignDiff) && pe.Cursor == ev.Cursor {
@@ -238,7 +238,7 @@ func TestDesignDriftObservableOnBothSurfaces(t *testing.T) {
 			ev.Cursor, len(page.Events), page.Latest)
 	}
 	// And resuming from just before that cursor returns it first.
-	resume := eventsPage(t, ts.URL+"/v1/events?since="+strconv.FormatUint(ev.Cursor-1, 10))
+	resume := eventsPage(t, ts.URL+"/v1/nets/default/events?since="+strconv.FormatUint(ev.Cursor-1, 10))
 	if len(resume.Events) == 0 || resume.Events[0].Cursor != ev.Cursor {
 		t.Errorf("resume at %d: first event %+v", ev.Cursor-1, resume.Events)
 	}
@@ -254,12 +254,12 @@ func TestEventsEndpointValidation(t *testing.T) {
 	defer ts.Close()
 
 	for _, bad := range []string{"?since=abc", "?since=-1", "?limit=0", "?limit=9999", "?limit=x"} {
-		code, _, _ := get(t, ts.URL+"/v1/events"+bad)
+		code, _, _ := get(t, ts.URL+"/v1/nets/example/events"+bad)
 		if code != http.StatusBadRequest {
-			t.Errorf("/v1/events%s: got %d, want 400", bad, code)
+			t.Errorf("/v1/nets/example/events%s: got %d, want 400", bad, code)
 		}
 	}
-	page := eventsPage(t, ts.URL+"/v1/events?limit=1")
+	page := eventsPage(t, ts.URL+"/v1/nets/example/events?limit=1")
 	if len(page.Events) != 1 || page.Next != page.Events[0].Cursor {
 		t.Errorf("limit=1 page: %+v", page)
 	}
@@ -271,12 +271,12 @@ func TestEventsTruncationSignaled(t *testing.T) {
 	s := newTestServer(t, func(c *Config) { c.EventsBuffer = 4 })
 	mustReload(t, s) // cursor 1: generation.swap
 	for i := 0; i < 6; i++ {
-		s.Events().Publish(EvtShed, shedPayload{Count: 1})
+		s.Net("example").Events().Publish(EvtShed, shedPayload{Count: 1})
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	page := eventsPage(t, ts.URL+"/v1/events?since=1")
+	page := eventsPage(t, ts.URL+"/v1/nets/example/events?since=1")
 	if !page.Truncated {
 		t.Fatalf("since=1 with oldest=%d: truncated=false", page.Oldest)
 	}
@@ -288,7 +288,7 @@ func TestEventsTruncationSignaled(t *testing.T) {
 	}
 
 	// The watch stream synthesizes an explicit stream.truncated event.
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch?since=1", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch?since=1", "")
 	defer cancel()
 	f := nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.comment == "" })
 	if f.event != string(EvtTruncated) {
@@ -318,16 +318,16 @@ func TestWatchHeartbeatAndResume(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch", "")
 	nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.event == string(EvtSwap) })
 	nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.comment == "heartbeat" })
 	cancel()
 
 	// Publish two more events while disconnected, then resume from the
 	// swap event's cursor: both arrive, in order, nothing duplicated.
-	s.Events().Publish(EvtShed, shedPayload{Count: 3})
-	s.Events().Publish(EvtCachePressure, cachePressurePayload{Evicted: 2})
-	frames, cancel = openWatch(t, ts.URL+"/v1/watch", "1")
+	s.Net("example").Events().Publish(EvtShed, shedPayload{Count: 3})
+	s.Net("example").Events().Publish(EvtCachePressure, cachePressurePayload{Evicted: 2})
+	frames, cancel = openWatch(t, ts.URL+"/v1/nets/example/watch", "1")
 	defer cancel()
 	f := nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.comment == "" })
 	if f.event != string(EvtShed) || f.id != "2" {
@@ -347,20 +347,20 @@ func TestWatchSubscriberDisconnect(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+	frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch", "")
 	nextFrame(t, frames, 5*time.Second, func(f sseFrame) bool { return f.event == string(EvtSwap) })
-	if n := s.Events().Subscribers(); n != 1 {
+	if n := s.Net("example").Events().Subscribers(); n != 1 {
 		t.Fatalf("subscribers while connected = %d, want 1", n)
 	}
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Events().Subscribers() != 0 {
+	for s.Net("example").Events().Subscribers() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("subscription leaked after disconnect: %d live", s.Events().Subscribers())
+			t.Fatalf("subscription leaked after disconnect: %d live", s.Net("example").Events().Subscribers())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if g := s.reg.Gauge(events.MetricSubscribers, lnet("default")).Value(); g != 0 {
+	if g := s.reg.Gauge(events.MetricSubscribers, lnet("example")).Value(); g != 0 {
 		t.Errorf("%s = %v after disconnect, want 0", events.MetricSubscribers, g)
 	}
 }
@@ -377,7 +377,7 @@ func TestEventsOrderingUnderConcurrentReloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
-				if err := s.Reload(context.Background()); err != nil {
+				if err := s.Net("example").Reload(context.Background()); err != nil {
 					t.Errorf("reload: %v", err)
 				}
 			}
@@ -385,7 +385,7 @@ func TestEventsOrderingUnderConcurrentReloads(t *testing.T) {
 	}
 	wg.Wait()
 
-	evs, _, truncated := s.Events().Since(0, 0)
+	evs, _, truncated := s.Net("example").Events().Since(0, 0)
 	if truncated {
 		t.Fatal("default ring truncated 21 events")
 	}
@@ -428,7 +428,7 @@ func TestWatchDuringConcurrentReloads(t *testing.T) {
 	}
 	ws := make([]watcher, watchers)
 	for i := range ws {
-		frames, cancel := openWatch(t, ts.URL+"/v1/watch", "")
+		frames, cancel := openWatch(t, ts.URL+"/v1/nets/example/watch", "")
 		ws[i] = watcher{frames, cancel}
 		defer cancel()
 	}
@@ -439,7 +439,7 @@ func TestWatchDuringConcurrentReloads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < reloadsEach; i++ {
-				if err := s.Reload(context.Background()); err != nil {
+				if err := s.Net("example").Reload(context.Background()); err != nil {
 					t.Errorf("reload: %v", err)
 				}
 			}
@@ -449,7 +449,7 @@ func TestWatchDuringConcurrentReloads(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			code, _, _ := get(t, ts.URL+"/v1/summary")
+			code, _, _ := get(t, ts.URL+"/v1/nets/example/summary")
 			if code != http.StatusOK {
 				t.Errorf("summary under reload churn: %d", code)
 			}

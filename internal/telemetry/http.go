@@ -50,21 +50,14 @@ func (w *StatusWriter) Write(p []byte) (int, error) {
 func (w *StatusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // InstrumentHandler wraps an HTTP handler with the registry's request
-// metrics and a per-request "http/<endpoint>" span. Each request gets a
-// fresh span collector on its context — unless an outer middleware (the
-// tracing layer) already installed one, which is then reused so the
-// request's spans land in its trace. A resident server must not
-// accumulate span records for the life of the process, so only the
-// bounded registry (counter + latency histogram) and the bounded trace
-// store outlive the request.
+// metrics and a per-request "http/<endpoint>" span. The span lands in
+// the collector an outer middleware (the tracing layer) installed, if
+// any, so it joins the request's trace; without one it is recorded
+// only as a stage-latency observation.
 func InstrumentHandler(reg *Registry, endpoint string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &StatusWriter{ResponseWriter: w}
-		ctx := r.Context()
-		if CollectorFromContext(ctx) == nil {
-			ctx = WithCollector(ctx, NewCollector())
-		}
-		ctx = WithRegistry(ctx, reg)
+		ctx := WithRegistry(r.Context(), reg)
 		ctx, span := StartSpan(ctx, "http/"+endpoint)
 		start := time.Now()
 		defer func() {

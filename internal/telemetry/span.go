@@ -48,7 +48,8 @@ type Collector struct {
 // NewCollector creates an empty span collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// DefaultCollector receives spans whose context carries no collector.
+// DefaultCollector is the CLIs' run collector: CLI.Context installs it,
+// and the end-of-run stage table reads it. Nothing else records into it.
 var DefaultCollector = NewCollector()
 
 // Records returns a copy of the finished spans in end order.
@@ -76,18 +77,12 @@ func WithCollector(ctx context.Context, col *Collector) context.Context {
 	return context.WithValue(ctx, collectorKey{}, col)
 }
 
-// CollectorFrom returns the context's collector, or DefaultCollector.
+// CollectorFrom returns the context's collector, or nil when none was
+// installed. Spans under a collector-less context are not recorded —
+// only their stage-latency observation reaches the registry — so a
+// resident process whose background work (startup loads, SIGHUP, the
+// config watcher) carries no collector accumulates nothing.
 func CollectorFrom(ctx context.Context) *Collector {
-	if c, ok := ctx.Value(collectorKey{}).(*Collector); ok {
-		return c
-	}
-	return DefaultCollector
-}
-
-// CollectorFromContext returns the context's collector, or nil when none
-// was installed — middleware uses it to avoid shadowing an outer
-// layer's collector with a fresh one.
-func CollectorFromContext(ctx context.Context) *Collector {
 	c, _ := ctx.Value(collectorKey{}).(*Collector)
 	return c
 }
@@ -145,9 +140,9 @@ func (s *Span) Path() string {
 	return s.parent.Path() + "/" + s.name
 }
 
-// End finishes the span: it records the duration in the collector and
-// the stage-latency histogram. End is idempotent; only the first call
-// records.
+// End finishes the span: it records the duration in the collector (if
+// the span's context had one) and the stage-latency histogram. End is
+// idempotent; only the first call records.
 func (s *Span) End() time.Duration {
 	d := time.Since(s.start)
 	if s.ended {
@@ -164,9 +159,11 @@ func (s *Span) End() time.Duration {
 	if s.err != nil {
 		rec.Err = s.err.Error()
 	}
-	s.col.mu.Lock()
-	s.col.recs = append(s.col.recs, rec)
-	s.col.mu.Unlock()
+	if s.col != nil {
+		s.col.mu.Lock()
+		s.col.recs = append(s.col.recs, rec)
+		s.col.mu.Unlock()
+	}
 	s.reg.Histogram(StageSecondsMetric, nil, L("stage", s.name)).Observe(d.Seconds())
 	return d
 }

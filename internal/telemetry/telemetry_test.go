@@ -211,6 +211,23 @@ func TestSpanObservesStageHistogram(t *testing.T) {
 	}
 }
 
+// TestSpanWithoutCollectorRecordsNothing: a context with no collector
+// still times the stage into the registry but leaves DefaultCollector
+// untouched — the fallback that let background work accumulate spans for
+// the life of a process is gone.
+func TestSpanWithoutCollectorRecordsNothing(t *testing.T) {
+	reg := NewRegistry()
+	before := len(DefaultCollector.Records())
+	_, s := StartSpan(WithRegistry(context.Background(), reg), "stage-y")
+	s.End()
+	if got := reg.Histogram(StageSecondsMetric, nil, L("stage", "stage-y")).Count(); got != 1 {
+		t.Errorf("stage histogram count = %d, want 1", got)
+	}
+	if got := len(DefaultCollector.Records()); got != before {
+		t.Errorf("DefaultCollector grew from %d to %d records", before, got)
+	}
+}
+
 func TestSpanSetName(t *testing.T) {
 	col := NewCollector()
 	ctx := WithCollector(context.Background(), col)

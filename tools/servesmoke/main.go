@@ -10,20 +10,20 @@
 // per-generation query cache disabled (rows endpoint=<name>, the
 // compute-every-request latency) and one with it enabled (rows
 // endpoint=<name>:warm, the cache-replay latency). An
-// endpoint=reload row times POST /v1/reload round trips — incremental
+// endpoint=reload row times POST /v1/nets/<net>/reload round trips — incremental
 // thanks to the shared parse cache, and inclusive of the reach
 // precompute that now happens at swap time instead of on the first
 // query. The observability plane is measured too: endpoint=events
-// hammers the /v1/events cursor page (the ring holds the swap events
+// hammers the /v1/nets/<net>/events cursor page (the ring holds the swap events
 // the reloads just published) and endpoint=watch times
-// connect-to-first-SSE-byte of /v1/watch across sequential
+// connect-to-first-SSE-byte of /v1/nets/<net>/watch across sequential
 // connections.
 //
 // A snapshot phase writes the corpus to disk and measures what analyzed-
 // design snapshots buy: endpoint=coldstart is the full-analysis cold
 // start that seeds the snapshot, endpoint=coldstart:snapshot restores
 // fresh servers from it, and endpoint=reload:snapshot times no-change
-// POST /v1/reload round trips against the snapshotted server (the
+// POST /v1/nets/<net>/reload round trips against the snapshotted server (the
 // unchanged short-circuit keeps the warm generation). benchcmp pairs
 // these rows into full-vs-snapshot speedups.
 //
@@ -48,7 +48,7 @@
 // the design quotient on — recording paired compress:swap,
 // compress:reach, and compress:whatif rows (":quotient" suffix on the
 // compressed leg) and cross-checking that both servers return
-// byte-identical /v1/reach and /v1/whatif bodies.
+// byte-identical /v1/nets/<net>/reach and /v1/nets/<net>/whatif bodies.
 //
 // tools/benchcmp parses these lines into the "serve" section of its JSON
 // report, so `make servesmoke` lands a BENCH_serve.json next to
@@ -112,8 +112,7 @@ func main() {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	reg := telemetry.NewRegistry()
 	s, err := serve.New(serve.Config{
-		Load:        load,
-		DefaultNet:  g.Name,
+		Nets:        []serve.NetSource{{Name: g.Name, Load: load}},
 		MaxInFlight: *maxInflight,
 		Registry:    reg,
 		Logger:      quiet,
@@ -124,8 +123,7 @@ func main() {
 	}
 	coldReg := telemetry.NewRegistry()
 	sCold, err := serve.New(serve.Config{
-		Load:           load,
-		DefaultNet:     g.Name,
+		Nets:           []serve.NetSource{{Name: g.Name, Load: load}},
 		MaxInFlight:    *maxInflight,
 		Registry:       coldReg,
 		Logger:         quiet,
@@ -136,13 +134,13 @@ func main() {
 		os.Exit(1)
 	}
 	t0 := time.Now()
-	if err := s.Reload(context.Background()); err != nil {
+	if err := s.Net(g.Name).Reload(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: analyzing %s: %v\n", g.Name, err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "servesmoke: %s analyzed in %v (%d routers)\n",
 		g.Name, time.Since(t0).Round(time.Millisecond), g.Routers)
-	if err := sCold.Reload(context.Background()); err != nil {
+	if err := sCold.Net(g.Name).Reload(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: analyzing %s (cold server): %v\n", g.Name, err)
 		os.Exit(1)
 	}
@@ -157,10 +155,10 @@ func main() {
 	// cached server, populates the query cache so its rows measure
 	// replay.
 	endpoints := []struct{ name, path string }{
-		{"summary", "/v1/summary"},
-		{"pathway", "/v1/pathway?router=" + firstRouter(g)},
-		{"reach", "/v1/reach"},
-		{"whatif", "/v1/whatif"},
+		{"summary", "/v1/nets/" + g.Name + "/summary"},
+		{"pathway", "/v1/nets/" + g.Name + "/pathway?router=" + firstRouter(g)},
+		{"reach", "/v1/nets/" + g.Name + "/reach"},
+		{"whatif", "/v1/nets/" + g.Name + "/whatif"},
 	}
 	warmUp := func(ts *httptest.Server) {
 		client := ts.Client()
@@ -207,7 +205,7 @@ func main() {
 		ok, errs := 0, 0
 		for i := 0; i < reloads; i++ {
 			start := time.Now()
-			resp, err := client.Post(ts.URL+"/v1/reload", "", nil)
+			resp, err := client.Post(ts.URL+"/v1/nets/"+g.Name+"/reload", "", nil)
 			d := time.Since(start)
 			if err != nil {
 				errs++
@@ -234,7 +232,7 @@ func main() {
 	// populated with the generation swaps they published.
 	{
 		client := ts.Client()
-		lat, ok, shed, errs := hammer(client, ts.URL+"/v1/events", *queries, *concurrency)
+		lat, ok, shed, errs := hammer(client, ts.URL+"/v1/nets/"+g.Name+"/events", *queries, *concurrency)
 		if errs > 0 || ok == 0 {
 			fmt.Fprintf(os.Stderr, "servesmoke: endpoint events: %d ok, %d unexpected responses\n", ok, errs)
 			exitCode = 1
@@ -246,7 +244,7 @@ func main() {
 		var wlat []time.Duration
 		wok, werrs := 0, 0
 		for i := 0; i < conns; i++ {
-			d, err := watchFirstByte(client, ts.URL+"/v1/watch")
+			d, err := watchFirstByte(client, ts.URL+"/v1/nets/"+g.Name+"/watch")
 			if err != nil {
 				werrs++
 				continue
@@ -292,7 +290,7 @@ func main() {
 // precomputed reachability analysis, and
 // endpoint=compress:whatif{,:quotient} is the cold survivability compute
 // the first what-if query triggers. The phase fails if the two servers
-// disagree on a single byte of /v1/reach or /v1/whatif output, or if the
+// disagree on a single byte of /v1/nets/<net>/reach or /v1/nets/<net>/whatif output, or if the
 // compressed server's quotient gauges say it did not actually reduce the
 // graph.
 func compressPhase(seed int64, quiet *slog.Logger) int {
@@ -321,8 +319,7 @@ func compressPhase(seed int64, quiet *slog.Logger) int {
 	for i, l := range legs {
 		reg := telemetry.NewRegistry()
 		s, err := serve.New(serve.Config{
-			Load:           load,
-			DefaultNet:     g.Name,
+			Nets:           []serve.NetSource{{Name: g.Name, Load: load}},
 			Compress:       l.compress,
 			Registry:       reg,
 			Logger:         quiet,
@@ -333,7 +330,7 @@ func compressPhase(seed int64, quiet *slog.Logger) int {
 			return 1
 		}
 		start := time.Now()
-		if err := s.Reload(context.Background()); err != nil {
+		if err := s.Net(g.Name).Reload(context.Background()); err != nil {
 			fmt.Fprintf(os.Stderr, "servesmoke: compress phase: loading %s: %v\n", g.Name, err)
 			return 1
 		}
@@ -362,10 +359,10 @@ func compressPhase(seed int64, quiet *slog.Logger) int {
 			return body, d
 		}
 		var d time.Duration
-		results[i].reach, d = get("/v1/reach")
+		results[i].reach, d = get("/v1/nets/" + g.Name + "/reach")
 		fmt.Printf("servesmoke: endpoint=compress:reach%s queries=1 ok=1 shed=0 p50_ns=%d p99_ns=%d\n",
 			l.suffix, d.Nanoseconds(), d.Nanoseconds())
-		results[i].whatif, d = get("/v1/whatif")
+		results[i].whatif, d = get("/v1/nets/" + g.Name + "/whatif")
 		fmt.Printf("servesmoke: endpoint=compress:whatif%s queries=1 ok=1 shed=0 p50_ns=%d p99_ns=%d\n",
 			l.suffix, d.Nanoseconds(), d.Nanoseconds())
 		results[i].reg = reg
@@ -375,11 +372,11 @@ func compressPhase(seed int64, quiet *slog.Logger) int {
 	// The whole point of the quotient is exactness: a compressed server
 	// that answers differently from the full one is broken, not fast.
 	if !bytes.Equal(results[0].reach, results[1].reach) {
-		fmt.Fprintln(os.Stderr, "servesmoke: compress phase: /v1/reach answers differ between full and quotient servers")
+		fmt.Fprintln(os.Stderr, "servesmoke: compress phase: /v1/nets/<net>/reach answers differ between full and quotient servers")
 		code = 1
 	}
 	if !bytes.Equal(results[0].whatif, results[1].whatif) {
-		fmt.Fprintln(os.Stderr, "servesmoke: compress phase: /v1/whatif answers differ between full and quotient servers")
+		fmt.Fprintln(os.Stderr, "servesmoke: compress phase: /v1/nets/<net>/whatif answers differ between full and quotient servers")
 		code = 1
 	}
 	lnet := telemetry.L("net", g.Name)
@@ -458,7 +455,7 @@ func ingestPhase(corpus *netgen.Corpus, quiet *slog.Logger) int {
 		fmt.Fprintf(os.Stderr, "servesmoke: ingest phase: %v\n", err)
 		return 1
 	}
-	if err := s.Reload(context.Background()); err != nil {
+	if err := s.Net(g.Name).Reload(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: ingest phase: initial load: %v\n", err)
 		return 1
 	}
@@ -601,7 +598,7 @@ func snapshotPhase(g *netgen.Generated, quiet *slog.Logger) int {
 		return 1
 	}
 	t0 := time.Now()
-	if err := seed.Reload(context.Background()); err != nil {
+	if err := seed.Net(g.Name).Reload(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: snapshot phase: full cold start: %v\n", err)
 		return 1
 	}
@@ -620,7 +617,7 @@ func snapshotPhase(g *netgen.Generated, quiet *slog.Logger) int {
 		return 1
 	}
 	t0 = time.Now()
-	if err := last.Reload(context.Background()); err != nil {
+	if err := last.Net(g.Name).Reload(context.Background()); err != nil {
 		fmt.Fprintf(os.Stderr, "servesmoke: snapshot phase: snapshot cold start: %v\n", err)
 		return 1
 	}
@@ -641,11 +638,11 @@ func snapshotPhase(g *netgen.Generated, quiet *slog.Logger) int {
 	client := ts.Client()
 	// Drain the cold start's background reach warm-up first, so the timed
 	// reloads measure the short-circuit, not scheduler contention with
-	// the warm-up: poll /v1/reach until it answers from the resident
+	// the warm-up: poll /v1/nets/<net>/reach until it answers from the resident
 	// precomputed view (fast 200) instead of computing.
 	for i := 0; i < 30; i++ {
 		start := time.Now()
-		resp, err := client.Get(ts.URL + "/v1/reach")
+		resp, err := client.Get(ts.URL + "/v1/nets/" + g.Name + "/reach")
 		if err != nil {
 			continue
 		}
@@ -659,7 +656,7 @@ func snapshotPhase(g *netgen.Generated, quiet *slog.Logger) int {
 	ok := 0
 	for i := 0; i < reloads; i++ {
 		start := time.Now()
-		resp, err := client.Post(ts.URL+"/v1/reload", "", nil)
+		resp, err := client.Post(ts.URL+"/v1/nets/"+g.Name+"/reload", "", nil)
 		d := time.Since(start)
 		if err != nil {
 			continue
@@ -792,7 +789,7 @@ func fleetPhase(corpus *netgen.Corpus, quiet *slog.Logger, queries, concurrency,
 	return code
 }
 
-// watchFirstByte opens one /v1/watch SSE connection and measures
+// watchFirstByte opens one /v1/nets/<net>/watch SSE connection and measures
 // connect to first streamed byte — the latency a drift watcher pays
 // before it is live — then tears the connection down.
 func watchFirstByte(client *http.Client, url string) (time.Duration, error) {
